@@ -151,7 +151,7 @@ fn run(args: &[String], tel: &Telemetry) -> Result<(), String> {
                     println!(
                         "tier: {} — {}{}",
                         r.tier,
-                        r.tier_reason,
+                        r.tier_reason.as_str(),
                         if r.tier_degraded() {
                             "  [degraded]"
                         } else {

@@ -18,6 +18,8 @@ use std::fmt::Write as _;
 
 use yasksite_ecm::{drift_fraction, DriftStats};
 
+use crate::trial::median;
+
 /// One measured trial's prediction residual.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftRecord {
@@ -197,21 +199,14 @@ impl DriftLedger {
         }
         by_key
             .into_iter()
-            .filter_map(|((stencil, params, cores), mut drifts)| {
+            .filter_map(|((stencil, params, cores), drifts)| {
                 let stats = DriftStats::from_drifts(&drifts)?;
                 if !stats.suspect {
                     return None;
                 }
-                drifts.sort_by(f64::total_cmp);
-                let mid = drifts.len() / 2;
-                let median = if drifts.len() % 2 == 1 {
-                    drifts[mid]
-                } else {
-                    (drifts[mid - 1] + drifts[mid]) / 2.0
-                };
                 Some((
                     format!("{stencil} {params} @{cores}"),
-                    (1.0 + median).max(1e-9),
+                    correction_coeff(drifts),
                     stats,
                 ))
             })
@@ -247,6 +242,16 @@ impl DriftLedger {
     }
 }
 
+/// The model-correction fit shared by the daemon ledger and the online
+/// tuner: the multiplicative throughput coefficient `1 + median(signed
+/// drift)` of a non-empty drift sample. Drift is always above -1 (both
+/// throughputs are positive), so the coefficient is positive; the floor
+/// only guards against rounding at the extreme.
+pub(crate) fn correction_coeff(mut drifts: Vec<f64>) -> f64 {
+    drifts.sort_by(f64::total_cmp);
+    (1.0 + median(&drifts)).max(1e-9)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,6 +269,16 @@ mod tests {
             predicted_mlups: predicted,
             measured_mlups: measured,
         }
+    }
+
+    #[test]
+    fn correction_coeff_is_one_plus_the_median_drift() {
+        // Odd count: the middle value; even: the mean of the middle two.
+        assert_eq!(correction_coeff(vec![0.5, -0.25, 0.1]), 1.1);
+        let even = correction_coeff(vec![0.3, -0.2, 0.1, -0.1]);
+        assert_eq!(even.to_bits(), (1.0 + (-0.1 + 0.1) / 2.0f64).to_bits());
+        // Drift never reaches -1, but the coefficient stays positive.
+        assert_eq!(correction_coeff(vec![-1.0]), 1e-9);
     }
 
     #[test]

@@ -33,6 +33,7 @@ use yasksite_ecm::DriftStats;
 use yasksite_engine::TuningParams;
 
 use crate::cache::PredictionCache;
+use crate::drift::correction_coeff;
 use crate::solution::{Solution, ToolError};
 use crate::space::SearchSpace;
 use crate::trial::{
@@ -270,7 +271,7 @@ impl OnlineTuner {
         // Signed drift per sample, in throughput space: MLUP/s is
         // inversely proportional to seconds, so measured/predicted
         // throughput = predicted_seconds / sample_seconds.
-        let mut drifts: Vec<f64> = trial
+        let drifts: Vec<f64> = trial
             .samples
             .iter()
             .filter(|s| s.is_finite() && **s > 0.0)
@@ -279,20 +280,11 @@ impl OnlineTuner {
         let Some(stats) = DriftStats::from_drifts(&drifts) else {
             return Ok(None);
         };
-        drifts.sort_by(f64::total_cmp);
-        let mid = drifts.len() / 2;
-        let median = if drifts.len() % 2 == 1 {
-            drifts[mid]
-        } else {
-            (drifts[mid - 1] + drifts[mid]) / 2.0
-        };
-        // drift > -1 always (both sides positive), so coeff > 0; the
-        // floor only guards against rounding at the extreme.
         let correction = KeyCorrection {
             block_y: self.ys[p.0],
             block_z: self.zs[p.1],
             stats,
-            coeff: (1.0 + median).max(1e-9),
+            coeff: correction_coeff(drifts),
             suspect: stats.suspect,
         };
         let i = self.idx(p);

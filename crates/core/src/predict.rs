@@ -3,7 +3,7 @@
 
 use yasksite_arch::Machine;
 use yasksite_ecm::{EcmModel, EcmPrediction, KernelDesc, OverlapPolicy};
-use yasksite_engine::{plan_tier, Tier, TuningParams};
+use yasksite_engine::{Plan, Tier, TierPolicy, TuningParams};
 use yasksite_stencil::Stencil;
 
 /// An analytic performance prediction for one `(params, cores)` point.
@@ -53,13 +53,15 @@ pub fn predict_params_resident(
     resident_bytes: Option<f64>,
 ) -> PredictedPerf {
     // Tier-aware in-core issue: when the engine's planner would run this
-    // configuration on the generic per-point tier (no vectorised kernel
-    // is eligible), the model must not credit it with SIMD throughput.
-    // Linear row-major configurations plan onto the folded/scalar tiers,
-    // so their predictions are unchanged; the tape tier keeps the
-    // vectorised model because its threaded interpreter still streams
-    // whole rows.
-    let (tier, _) = plan_tier(stencil, params);
+    // configuration (spatial or wavefront) on the generic per-point tier
+    // (no vectorised kernel is eligible), the model must not credit it
+    // with SIMD throughput. Linear row-major configurations plan onto
+    // the folded/scalar tiers, so their predictions are unchanged; the
+    // tape tier keeps the vectorised model because its threaded
+    // interpreter still streams whole rows. The query uses the `Auto`
+    // policy so predictions (and the caches keyed by them) do not depend
+    // on the environment.
+    let tier = Plan::query(stencil, params, TierPolicy::Auto).tier();
     let mut desc = KernelDesc::new(stencil, domain)
         .tile(params.clipped_block(domain))
         .fold(params.fold)
@@ -195,6 +197,21 @@ mod tests {
         assert!(!pf.ecm.incore.t_ol.is_nan());
         assert!(pg.ecm.t_ecm > pf.ecm.t_ecm);
         assert!(pg.mlups < pf.mlups);
+        // Wavefronts plan on their own rules: a brick fold runs the
+        // generic loop and is charged scalar issue, a row-major fold
+        // keeps the SIMD model of its spatial sweep.
+        let brick = TuningParams::new([128, 8, 8], Fold::new(4, 2, 1)).wavefront(2);
+        let desc = KernelDesc::new(&s, domain)
+            .tile(brick.block)
+            .fold(brick.fold)
+            .scalar_issue(true);
+        let scalar = EcmModel::new(&clx()).predict_at(&desc, 1).incore;
+        assert_eq!(
+            predict_params(&s, domain, &clx(), &brick, 1).ecm.incore,
+            scalar
+        );
+        let row = predict_params(&s, domain, &clx(), &folded.clone().wavefront(4), 1);
+        assert_eq!(row.ecm.incore, pf.ecm.incore);
     }
 
     #[test]

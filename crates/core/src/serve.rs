@@ -826,7 +826,7 @@ impl ServeState {
         if result.tier_degraded() {
             *self
                 .tier_degraded
-                .entry(result.tier_reason.to_string())
+                .entry(result.tier_reason.as_str().to_string())
                 .or_insert(0) += 1;
         }
 
@@ -864,7 +864,7 @@ impl ServeState {
             .str("best", &result.best.to_string())
             .num("best_mlups", result.best_score)
             .str("tier", &result.tier.to_string())
-            .str("tier_reason", result.tier_reason)
+            .str("tier_reason", result.tier_reason.as_str())
             .boolean("tier_degraded", result.tier_degraded())
             .boolean("degraded", degraded)
             .uint("warm_loaded", warm_loaded)

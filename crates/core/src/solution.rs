@@ -4,9 +4,9 @@ use std::fmt;
 
 use yasksite_arch::{Machine, MachineFileError, MachineKind};
 use yasksite_engine::{
-    apply_simulated, codegen, plan_tier_with, run_wavefront_simulated, CodegenOutput, EngineError,
-    ExecPool, ProfileReport, SimContext, SweepProfiler, SweepRequest, Tier, TierPolicy,
-    TuningParams,
+    apply_simulated, codegen, run_wavefront_simulated, CodegenOutput, EngineError, ExecPool, Plan,
+    ProfileReport, SimContext, SweepProfiler, SweepReport, SweepRequest, Tier, TierPolicy,
+    TierReason, TuningParams,
 };
 use yasksite_grid::Grid3;
 use yasksite_memsim::HierarchyStats;
@@ -90,9 +90,9 @@ pub struct MeasuredPerf {
     /// the engine's truth; simulated runs report the planner's pick for
     /// these parameters under the live policy).
     pub tier: Tier,
-    /// Why the planner picked [`MeasuredPerf::tier`] — a static reason
-    /// string, surfaced through traces, counters and the CLI.
-    pub tier_reason: &'static str,
+    /// Why the planner picked [`MeasuredPerf::tier`], surfaced through
+    /// traces, counters and the CLI.
+    pub tier_reason: TierReason,
 }
 
 /// One stencil kernel bound to a domain size and a target machine — the
@@ -216,36 +216,31 @@ impl Solution {
 
     fn measure_native(&self, params: &TuningParams) -> Result<MeasuredPerf, ToolError> {
         let (mut inputs, mut out) = self.allocate_grids(params);
-        let pool = ExecPool::global();
-        let request = SweepRequest::new(params).pool(pool);
-        if params.wavefront > 1 {
+        let request = SweepRequest::new(params).pool(ExecPool::global());
+        let report = if params.wavefront > 1 {
             let mut a = inputs.swap_remove(0);
-            // Warm-up.
-            request.run_wavefront(&self.stencil, &mut a, &mut out)?;
-            let report = request.run_wavefront(&self.stencil, &mut a, &mut out)?;
-            let secs = report.seconds / params.wavefront as f64;
-            return Ok(MeasuredPerf {
-                mlups: self.updates_per_sweep() as f64 / secs.max(1e-12) / 1e6,
-                seconds_per_sweep: secs,
-                stats: None,
-                simulated: false,
-                threads_used: report.threads_used,
-                tier: report.tier,
-                tier_reason: report.tier_reason,
-            });
-        }
-        let refs: Vec<&Grid3> = inputs.iter().collect();
-        request.apply(&self.stencil, &refs, &mut out)?; // warm-up
-        let run = request.apply(&self.stencil, &refs, &mut out)?;
-        Ok(MeasuredPerf {
-            mlups: run.mlups,
-            seconds_per_sweep: run.seconds,
+            request.run_wavefront(&self.stencil, &mut a, &mut out)?; // warm-up
+            request.run_wavefront(&self.stencil, &mut a, &mut out)?
+        } else {
+            let refs: Vec<&Grid3> = inputs.iter().collect();
+            request.apply(&self.stencil, &refs, &mut out)?; // warm-up
+            request.apply(&self.stencil, &refs, &mut out)?
+        };
+        Ok(self.native_perf(&report))
+    }
+
+    /// A native sweep's report as one-sweep steady-state performance.
+    fn native_perf(&self, report: &SweepReport) -> MeasuredPerf {
+        let secs = report.seconds / report.wavefront_depth as f64;
+        MeasuredPerf {
+            mlups: self.updates_per_sweep() as f64 / secs.max(1e-12) / 1e6,
+            seconds_per_sweep: secs,
             stats: None,
             simulated: false,
-            threads_used: run.threads_used,
-            tier: run.tier,
-            tier_reason: run.tier_reason,
-        })
+            threads_used: report.threads_used,
+            tier: report.tier,
+            tier_reason: report.tier_reason,
+        }
     }
 
     fn measure_simulated(&self, params: &TuningParams) -> Result<MeasuredPerf, ToolError> {
@@ -270,25 +265,25 @@ impl Solution {
         // The simulator models traffic, not kernels; report the tier the
         // native planner would pick for these parameters so tier-mix
         // accounting stays meaningful for simulated machine models.
-        let (tier, tier_reason) = self.plan_tier(params);
+        let plan = self.plan_tier(params);
         Ok(MeasuredPerf {
             mlups: self.updates_per_sweep() as f64 / per_sweep / 1e6,
             seconds_per_sweep: per_sweep,
             stats: Some(total.stats),
             simulated: true,
             threads_used: params.threads,
-            tier,
-            tier_reason,
+            tier: plan.tier(),
+            tier_reason: plan.reason,
         })
     }
 
-    /// The specialisation tier a spatial sweep of `params` would execute
-    /// on, under the live [`TierPolicy`] (`YASKSITE_FORCE_TIER` wins
-    /// over the default), assuming the shared grid geometry
-    /// [`Solution::allocate_grids`] produces.
+    /// The engine's plan for a sweep of `params` (a wavefront sweep when
+    /// `params.wavefront > 1`) under the live [`TierPolicy`]
+    /// (`YASKSITE_FORCE_TIER` wins over the default), assuming the
+    /// shared grid geometry [`Solution::allocate_grids`] produces.
     #[must_use]
-    pub fn plan_tier(&self, params: &TuningParams) -> (Tier, &'static str) {
-        plan_tier_with(&self.stencil, params, TierPolicy::from_env())
+    pub fn plan_tier(&self, params: &TuningParams) -> Plan {
+        Plan::query(&self.stencil, params, TierPolicy::from_env())
     }
 
     /// Generates the kernel source for `params`.
@@ -316,35 +311,16 @@ impl Solution {
         let prof = SweepProfiler::enabled();
         let warmup = SweepRequest::new(params).pool(pool);
         let profiled = SweepRequest::new(params).pool(pool).profiler(&prof);
-        if params.wavefront > 1 {
+        let report = if params.wavefront > 1 {
             let mut a = inputs.swap_remove(0);
-            warmup.run_wavefront(&self.stencil, &mut a, &mut out)?; // warm-up
-            let report = profiled.run_wavefront(&self.stencil, &mut a, &mut out)?;
-            let secs = report.seconds / params.wavefront as f64;
-            let perf = MeasuredPerf {
-                mlups: self.updates_per_sweep() as f64 / secs.max(1e-12) / 1e6,
-                seconds_per_sweep: secs,
-                stats: None,
-                simulated: false,
-                threads_used: report.threads_used,
-                tier: report.tier,
-                tier_reason: report.tier_reason,
-            };
-            return Ok((perf, prof.report()));
-        }
-        let refs: Vec<&Grid3> = inputs.iter().collect();
-        warmup.apply(&self.stencil, &refs, &mut out)?; // warm-up
-        let run = profiled.apply(&self.stencil, &refs, &mut out)?;
-        let perf = MeasuredPerf {
-            mlups: run.mlups,
-            seconds_per_sweep: run.seconds,
-            stats: None,
-            simulated: false,
-            threads_used: run.threads_used,
-            tier: run.tier,
-            tier_reason: run.tier_reason,
+            warmup.run_wavefront(&self.stencil, &mut a, &mut out)?;
+            profiled.run_wavefront(&self.stencil, &mut a, &mut out)?
+        } else {
+            let refs: Vec<&Grid3> = inputs.iter().collect();
+            warmup.apply(&self.stencil, &refs, &mut out)?;
+            profiled.apply(&self.stencil, &refs, &mut out)?
         };
-        Ok((perf, prof.report()))
+        Ok((self.native_perf(&report), prof.report()))
     }
 }
 
@@ -362,6 +338,18 @@ mod tests {
         assert!(!m.simulated);
         assert!(m.mlups > 1.0, "host should exceed 1 MLUP/s: {}", m.mlups);
         assert_eq!(m.threads_used, 1);
+    }
+
+    #[test]
+    fn native_wavefront_measurement_is_per_sweep() {
+        let sol = Solution::new(heat3d(1), [64, 32, 32], Machine::host());
+        let p = TuningParams::new([64, 8, 8], Fold::new(8, 1, 1)).wavefront(2);
+        let m = sol.measure(&p).unwrap();
+        assert!(!m.simulated);
+        let mlups = sol.updates_per_sweep() as f64 / m.seconds_per_sweep / 1e6;
+        assert_eq!(m.mlups.to_bits(), mlups.to_bits());
+        let plan = sol.plan_tier(&p);
+        assert_eq!((m.tier, m.tier_reason), (plan.tier(), plan.reason));
     }
 
     #[test]

@@ -520,7 +520,8 @@ impl fmt::Display for TrialSummary {
     }
 }
 
-fn median(sorted: &[f64]) -> f64 {
+/// Median of an ascending-sorted, non-empty slice.
+pub(crate) fn median(sorted: &[f64]) -> f64 {
     let n = sorted.len();
     if n % 2 == 1 {
         sorted[n / 2]

@@ -26,7 +26,7 @@
 
 use std::time::Instant;
 
-use yasksite_engine::{tier_reason_degraded, ProfileReport, Tier, TuningParams};
+use yasksite_engine::{ProfileReport, Tier, TierReason, TuningParams};
 use yasksite_telemetry::{Level, SpanGuard, Telemetry};
 
 use crate::cache::PredictionCache;
@@ -107,9 +107,8 @@ pub struct TuneResult {
     /// what the tuner allocates — so this matches what a native run of
     /// the winner executes).
     pub tier: Tier,
-    /// The planner's one-line justification for [`TuneResult::tier`];
-    /// [`yasksite_engine::tier_reason_degraded`] classifies it.
-    pub tier_reason: &'static str,
+    /// Why the planner picked [`TuneResult::tier`].
+    pub tier_reason: TierReason,
 }
 
 impl TuneResult {
@@ -124,7 +123,7 @@ impl TuneResult {
     /// use the kernel the fold/layout asked for and fell back).
     #[must_use]
     pub fn tier_degraded(&self) -> bool {
-        tier_reason_degraded(self.tier_reason)
+        self.tier_reason.degraded()
     }
 }
 
@@ -431,9 +430,10 @@ impl Solution {
                 // query is pure and policy-aware, and the tuner always
                 // allocates shared-geometry grids, so it names the tier
                 // the engine ran (or, for simulated backends, would run).
-                let (tier, tier_reason) = self.plan_tier(&p);
+                let plan = self.plan_tier(&p);
+                let tier = plan.tier();
                 tel.inc(&format!("tier.ran.{tier}"));
-                if tier_reason_degraded(tier_reason) {
+                if plan.reason.degraded() {
                     tel.inc("tier.degraded");
                 }
                 tel.event(
@@ -442,8 +442,8 @@ impl Solution {
                     trial_span.id(),
                     &[
                         ("tier", tier.to_string().into()),
-                        ("tier_reason", tier_reason.into()),
-                        ("degraded", tier_reason_degraded(tier_reason).into()),
+                        ("tier_reason", plan.reason.as_str().into()),
+                        ("degraded", plan.reason.degraded().into()),
                     ],
                 );
                 // Per-sweep throughput of trials that really executed —
@@ -503,7 +503,8 @@ impl Solution {
         // under the live tier policy: surfaced in the result, the trace
         // (a dedicated `winner` event `yasksite report` can digest), and
         // the counter registry.
-        let (winner_tier, winner_tier_reason) = self.plan_tier(&best);
+        let winner = self.plan_tier(&best);
+        let winner_tier = winner.tier();
         tel.inc(&format!("tier.winner.{winner_tier}"));
         tel.event(
             Level::Info,
@@ -513,8 +514,8 @@ impl Solution {
                 ("params", best.to_string().into()),
                 ("best_score_mlups", best_score.into()),
                 ("tier", winner_tier.to_string().into()),
-                ("tier_reason", winner_tier_reason.into()),
-                ("degraded", tier_reason_degraded(winner_tier_reason).into()),
+                ("tier_reason", winner.reason.as_str().into()),
+                ("degraded", winner.reason.degraded().into()),
             ],
         );
         // Drift bookkeeping: every record and every per-stencil summary
@@ -679,7 +680,7 @@ impl Solution {
             drift: ledger,
             profile: profile_report,
             tier: winner_tier,
-            tier_reason: winner_tier_reason,
+            tier_reason: winner.reason,
         })
     }
 }
@@ -713,14 +714,14 @@ mod tests {
     #[test]
     fn winner_carries_its_tier() {
         let r = solution().tune(TuneStrategy::Analytic, 2).unwrap();
-        assert!(!r.tier_reason.is_empty());
-        // The reason string and the degraded classifier must agree with
-        // a direct planner query for the same winner.
+        assert!(!r.tier_reason.as_str().is_empty());
+        // The reason and the degraded classifier must agree with a
+        // direct planner query for the same winner.
         let sol = solution();
-        let (tier, reason) = sol.plan_tier(&r.best);
-        assert_eq!(r.tier, tier);
-        assert_eq!(r.tier_reason, reason);
-        assert_eq!(r.tier_degraded(), tier_reason_degraded(reason));
+        let plan = sol.plan_tier(&r.best);
+        assert_eq!(r.tier, plan.tier());
+        assert_eq!(r.tier_reason, plan.reason);
+        assert_eq!(r.tier_degraded(), plan.reason.degraded());
     }
 
     #[test]

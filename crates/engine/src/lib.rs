@@ -56,7 +56,6 @@ mod native;
 mod params;
 mod pool;
 mod profile;
-mod rank;
 mod simulate;
 mod sweep;
 mod wavefront;
@@ -64,14 +63,9 @@ mod wavefront;
 pub use codegen::{codegen, CodegenOutput};
 pub use compile::CompiledStencil;
 pub use error::EngineError;
-pub use native::NativeRun;
 pub use params::TuningParams;
 pub use pool::{ExecPool, PoolStats, ScopedJob};
 pub use profile::{IntervalStats, PhaseStat, PoolWindow, ProfileReport, SweepProfiler};
-pub use rank::{predict_multirank, Interconnect, MultiRankPrediction, RankDecomposition};
 pub use simulate::{apply_simulated, SimContext, SimulatedRun};
-pub use sweep::{
-    plan_tier, plan_tier_with, tier_reason_degraded, SweepReport, SweepRequest, Tier, TierPolicy,
-    FORCE_TIER_ENV,
-};
+pub use sweep::{Plan, SweepReport, SweepRequest, Tier, TierPolicy, TierReason, FORCE_TIER_ENV};
 pub use wavefront::run_wavefront_simulated;

@@ -19,11 +19,11 @@ use crate::fold_tier::brick_fast_path;
 use crate::params::{chunk_ranges, TuningParams};
 use crate::pool::{ExecPool, ScopedJob};
 use crate::profile::SweepProfiler;
-use crate::sweep::{plan_spatial, Plan, Tier, TierPolicy};
+use crate::sweep::{plan, Kernel, Plan, TierPolicy};
 
 /// Result of one native kernel application.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NativeRun {
+pub(crate) struct NativeRun {
     /// Wall time of the sweep.
     pub seconds: f64,
     /// Achieved million lattice updates per second.
@@ -77,7 +77,7 @@ pub(crate) fn execute_apply(
     params: &TuningParams,
     prof: &SweepProfiler,
     policy: TierPolicy,
-) -> Result<(NativeRun, Tier, &'static str), EngineError> {
+) -> Result<(NativeRun, Plan), EngineError> {
     stencil.check_bindings(inputs, out)?;
     params
         .validate(out.n())
@@ -87,24 +87,24 @@ pub(crate) fn execute_apply(
     let t_compile = prof.start();
     let compiled = CompiledStencil::compile(stencil);
     prof.phase_done("compile", t_compile);
-    let geometry_shared = inputs
+    let layouts_match = inputs
         .iter()
         .all(|g| g.alloc() == out.alloc() && g.halo() == out.halo());
-    let (plan, reason) = plan_spatial(&compiled, geometry_shared, params, policy);
+    let plan = plan(&compiled, params, layouts_match, policy);
     let updates = out.domain_points() as u64;
     prof.pool_window(pool.stats());
     let t_sweep = prof.start();
     let start = Instant::now();
-    let threads_used = match plan {
-        Plan::Lanes(lanes) => {
+    let threads_used = match plan.kernel {
+        Kernel::Lanes(lanes) => {
             let (terms, constant) = compiled.linear_terms().expect("lane plan implies linear");
             linear_fast_path(pool, terms, constant, inputs, out, params, prof, lanes)
         }
-        Plan::Scalar => {
+        Kernel::Scalar => {
             let (terms, constant) = compiled.linear_terms().expect("scalar plan implies linear");
             linear_fast_path(pool, terms, constant, inputs, out, params, prof, 0)
         }
-        Plan::Brick(elems) => {
+        Kernel::Brick(elems) => {
             let (terms, constant) = compiled.linear_terms().expect("brick plan implies linear");
             match elems {
                 2 => brick_fast_path::<2>(pool, terms, constant, inputs, out, params, prof),
@@ -114,13 +114,13 @@ pub(crate) fn execute_apply(
                 _ => unreachable!("planner only emits supported brick sizes"),
             }
         }
-        Plan::Tape => {
+        Kernel::Tape => {
             let CompiledStencil::Tape(tape) = &compiled else {
                 unreachable!("tape plan implies tape stencil")
             };
             tape_fast_path(pool, tape, inputs, out, params, prof)
         }
-        Plan::Generic => {
+        Kernel::Generic => {
             generic_path(&compiled, inputs, out, params);
             1
         }
@@ -135,8 +135,7 @@ pub(crate) fn execute_apply(
             updates,
             threads_used,
         },
-        plan.tier(),
-        reason,
+        plan,
     ))
 }
 

@@ -32,7 +32,7 @@ use yasksite_stencil::Stencil;
 
 use crate::compile::CompiledStencil;
 use crate::error::EngineError;
-use crate::native::{execute_apply, NativeRun};
+use crate::native::execute_apply;
 use crate::params::TuningParams;
 use crate::pool::ExecPool;
 use crate::profile::SweepProfiler;
@@ -119,10 +119,100 @@ impl TierPolicy {
     }
 }
 
-/// The concrete kernel the planner picked (internal; collapses to
-/// [`Tier`] for reporting).
+/// Why the planner picked a kernel: one variant per planner rule.
+/// [`TierReason::as_str`] is the one-line text traces, counters and the
+/// daemon report; [`TierReason::degraded`] says whether the sweep runs
+/// below the tier its fold or policy asked for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TierReason {
+    /// Linear stencil, row-major fold with a supported lane count.
+    LaneKernel,
+    /// Linear stencil, multi-dimensional fold with a supported element
+    /// count on identically laid-out grids.
+    BrickKernel,
+    /// Scalar tier forced on a row-major fold.
+    ForcedScalar,
+    /// Non-linear stencil on a row-major fold.
+    TapeInterpreter,
+    /// `fold.x` has no supported lane count.
+    UnsupportedLanes,
+    /// Folded tier forced, but `fold.x` has no supported lane count.
+    ForcedFoldedUnsupportedLanes,
+    /// Scalar tier forced on a multi-dimensional fold.
+    ForcedScalarNeedsRowMajor,
+    /// Multi-dimensional fold with an unsupported element count or
+    /// mismatched grid layouts.
+    BrickIneligible,
+    /// Non-linear stencil on a multi-dimensional fold.
+    NonLinearFolded,
+    /// Wavefront of a non-linear stencil.
+    WavefrontNonLinear,
+    /// Wavefront on ping-pong buffers with different layouts.
+    WavefrontMismatchedLayouts,
+    /// Wavefront on a multi-dimensional fold.
+    WavefrontNeedsRowMajor,
+}
+
+impl TierReason {
+    /// The reason as one line of text.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            TierReason::LaneKernel => "row-major fold: folded lane kernel",
+            TierReason::BrickKernel => "multi-dimensional fold: folded brick kernel",
+            TierReason::ForcedScalar => "tier forced to scalar",
+            TierReason::TapeInterpreter => "non-linear stencil: threaded tape interpreter",
+            TierReason::UnsupportedLanes => {
+                "fold.x has no supported lane count: scalar row kernels"
+            }
+            TierReason::ForcedFoldedUnsupportedLanes => {
+                "folded tier forced but fold.x has no supported lane count: scalar row kernels"
+            }
+            TierReason::ForcedScalarNeedsRowMajor => {
+                "tier forced to scalar but scalar row kernels need a row-major fold: generic path"
+            }
+            TierReason::BrickIneligible => {
+                "multi-dimensional fold ineligible for the brick kernel \
+                 (unsupported lane count or mismatched grid layouts): generic path"
+            }
+            TierReason::NonLinearFolded => {
+                "non-linear stencil on a multi-dimensional fold: per-point generic path"
+            }
+            TierReason::WavefrontNonLinear => "non-linear stencil: per-point generic wavefront",
+            TierReason::WavefrontMismatchedLayouts => {
+                "ping-pong buffers have mismatched layouts: per-point generic wavefront"
+            }
+            TierReason::WavefrontNeedsRowMajor => {
+                "wavefront folded tier requires a row-major fold: per-point generic wavefront"
+            }
+        }
+    }
+
+    /// Whether the sweep runs below the tier its fold or policy asked
+    /// for. Naming the natural pick, or honouring a forced scalar tier
+    /// that exists, is not a degradation.
+    #[must_use]
+    pub fn degraded(self) -> bool {
+        match self {
+            TierReason::LaneKernel
+            | TierReason::BrickKernel
+            | TierReason::ForcedScalar
+            | TierReason::TapeInterpreter => false,
+            TierReason::UnsupportedLanes
+            | TierReason::ForcedFoldedUnsupportedLanes
+            | TierReason::ForcedScalarNeedsRowMajor
+            | TierReason::BrickIneligible
+            | TierReason::NonLinearFolded
+            | TierReason::WavefrontNonLinear
+            | TierReason::WavefrontMismatchedLayouts
+            | TierReason::WavefrontNeedsRowMajor => true,
+        }
+    }
+}
+
+/// The concrete kernel the planner picked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Plan {
+pub(crate) enum Kernel {
     /// Folded lane kernel on row-major storage with this many x-lanes.
     Lanes(usize),
     /// Folded brick-gather kernel with this many elements per brick.
@@ -135,123 +225,104 @@ pub(crate) enum Plan {
     Generic,
 }
 
+/// What the planner decided for one sweep: the kernel and why.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Plan {
+    pub(crate) kernel: Kernel,
+    /// Why the planner picked this kernel.
+    pub reason: TierReason,
+}
+
 impl Plan {
-    pub(crate) fn tier(self) -> Tier {
-        match self {
-            Plan::Lanes(_) | Plan::Brick(_) => Tier::Folded,
-            Plan::Scalar => Tier::Scalar,
-            Plan::Tape => Tier::Tape,
-            Plan::Generic => Tier::Generic,
+    /// A-priori query for the tuner, the ECM model and the daemon: the
+    /// plan a sweep of `stencil` under `params` and `policy` gets on
+    /// identically laid-out grids (as `Solution::allocate_grids`
+    /// produces). A wavefront depth above one plans the wavefront sweep.
+    #[must_use]
+    pub fn query(stencil: &Stencil, params: &TuningParams, policy: TierPolicy) -> Plan {
+        plan(&CompiledStencil::compile(stencil), params, true, policy)
+    }
+
+    /// The rung of the specialisation ladder the kernel belongs to.
+    #[must_use]
+    pub fn tier(&self) -> Tier {
+        match self.kernel {
+            Kernel::Lanes(_) | Kernel::Brick(_) => Tier::Folded,
+            Kernel::Scalar => Tier::Scalar,
+            Kernel::Tape => Tier::Tape,
+            Kernel::Generic => Tier::Generic,
         }
     }
 }
 
 /// Lane counts the hand-unrolled kernels are monomorphised for.
-pub(crate) fn lane_count_supported(lanes: usize) -> bool {
+fn lane_count_supported(lanes: usize) -> bool {
     matches!(lanes, 2 | 4 | 8 | 16)
 }
 
-/// Picks the kernel for a spatial sweep. `geometry_shared` says whether
-/// every input grid shares `alloc`/`halo` with the output (the brick
-/// kernel addresses all grids through one gather table, so it needs
-/// identical layouts).
-pub(crate) fn plan_spatial(
+/// The tier planner, shared by both executors and the a-priori query.
+/// `layouts_match` says whether every grid shares the output's fold,
+/// `alloc` and `halo`.
+///
+/// Spatial sweeps (`params.wavefront == 1`): linear stencils on
+/// row-major folds run the lane kernel when `fold.x` is a supported lane
+/// count, the scalar rows otherwise; on multi-dimensional folds they run
+/// the brick kernel when the element count is supported and the layouts
+/// match (it addresses all grids through one gather table). Non-linear
+/// stencils run the tape interpreter on row-major folds.
+///
+/// Wavefront sweeps (`params.wavefront > 1`) hand each pool job a
+/// contiguous window of plane rows, so only linear stencils on matching
+/// row-major layouts get the lane or scalar rows; everything else runs
+/// the per-point generic loop (the brick and tape kernels sweep whole
+/// grids, not single planes).
+pub(crate) fn plan(
     compiled: &CompiledStencil,
-    geometry_shared: bool,
     params: &TuningParams,
+    layouts_match: bool,
     policy: TierPolicy,
-) -> (Plan, &'static str) {
-    if !compiled.is_linear() {
-        return if params.row_major() {
-            (Plan::Tape, "non-linear stencil: threaded tape interpreter")
+) -> Plan {
+    let linear = compiled.is_linear();
+    let row_major = params.row_major();
+    let (kernel, reason) = if params.wavefront > 1 {
+        if !linear {
+            (Kernel::Generic, TierReason::WavefrontNonLinear)
+        } else if !layouts_match {
+            (Kernel::Generic, TierReason::WavefrontMismatchedLayouts)
+        } else if !row_major {
+            (Kernel::Generic, TierReason::WavefrontNeedsRowMajor)
         } else {
-            (
-                Plan::Generic,
-                "non-linear stencil on a multi-dimensional fold: per-point generic path",
-            )
-        };
-    }
-    if params.row_major() {
-        let lanes = params.fold.x;
-        match policy {
-            TierPolicy::ForceScalar => (Plan::Scalar, "tier forced to scalar"),
-            _ if lane_count_supported(lanes) => {
-                (Plan::Lanes(lanes), "row-major fold: folded lane kernel")
-            }
-            TierPolicy::ForceFolded => (
-                Plan::Scalar,
-                "folded tier forced but fold.x has no supported lane count: scalar row kernels",
-            ),
-            TierPolicy::Auto => (
-                Plan::Scalar,
-                "fold.x has no supported lane count: scalar row kernels",
-            ),
+            row_kernel(params.fold.x, policy)
         }
+    } else if !linear {
+        if row_major {
+            (Kernel::Tape, TierReason::TapeInterpreter)
+        } else {
+            (Kernel::Generic, TierReason::NonLinearFolded)
+        }
+    } else if row_major {
+        row_kernel(params.fold.x, policy)
     } else {
         let elems = params.fold.elems();
-        let eligible = lane_count_supported(elems) && geometry_shared;
         match policy {
-            TierPolicy::ForceScalar => (
-                Plan::Generic,
-                "tier forced to scalar but scalar row kernels need a row-major fold: generic path",
-            ),
-            _ if eligible => (
-                Plan::Brick(elems),
-                "multi-dimensional fold: folded brick kernel",
-            ),
-            _ => (
-                Plan::Generic,
-                "multi-dimensional fold ineligible for the brick kernel \
-                 (unsupported lane count or mismatched grid layouts): generic path",
-            ),
+            TierPolicy::ForceScalar => (Kernel::Generic, TierReason::ForcedScalarNeedsRowMajor),
+            _ if lane_count_supported(elems) && layouts_match => {
+                (Kernel::Brick(elems), TierReason::BrickKernel)
+            }
+            _ => (Kernel::Generic, TierReason::BrickIneligible),
         }
+    };
+    Plan { kernel, reason }
+}
+
+/// The row kernel for a linear stencil on a row-major fold.
+fn row_kernel(lanes: usize, policy: TierPolicy) -> (Kernel, TierReason) {
+    match policy {
+        TierPolicy::ForceScalar => (Kernel::Scalar, TierReason::ForcedScalar),
+        _ if lane_count_supported(lanes) => (Kernel::Lanes(lanes), TierReason::LaneKernel),
+        TierPolicy::ForceFolded => (Kernel::Scalar, TierReason::ForcedFoldedUnsupportedLanes),
+        TierPolicy::Auto => (Kernel::Scalar, TierReason::UnsupportedLanes),
     }
-}
-
-/// A-priori tier query for the tuner and the ECM model: which tier
-/// *would* a spatial sweep of `stencil` under `params` run on, assuming
-/// identically laid-out grids (as `Solution::allocate_grids` produces)
-/// and the [`TierPolicy::Auto`] policy?
-///
-/// Execution may still degrade (and [`SweepReport::tier`] records the
-/// truth) when actual grid layouts differ.
-#[must_use]
-pub fn plan_tier(stencil: &Stencil, params: &TuningParams) -> (Tier, &'static str) {
-    plan_tier_with(stencil, params, TierPolicy::Auto)
-}
-
-/// [`plan_tier`] under an explicit [`TierPolicy`] — what the daemon and
-/// CLI use to report the tier a winner would execute on under the live
-/// policy (e.g. a `YASKSITE_FORCE_TIER` override).
-#[must_use]
-pub fn plan_tier_with(
-    stencil: &Stencil,
-    params: &TuningParams,
-    policy: TierPolicy,
-) -> (Tier, &'static str) {
-    let compiled = CompiledStencil::compile(stencil);
-    let (plan, reason) = plan_spatial(&compiled, true, params, policy);
-    (plan.tier(), reason)
-}
-
-/// The planner reasons that mean a sweep ran *below* the tier its fold
-/// or policy asked for (as opposed to simply naming the natural pick).
-/// Kept in lock-step with the literals in [`plan_spatial`]; the
-/// observability layer turns these into `tier.degraded` counters.
-const DEGRADED_REASONS: [&str; 5] = [
-    "non-linear stencil on a multi-dimensional fold: per-point generic path",
-    "folded tier forced but fold.x has no supported lane count: scalar row kernels",
-    "fold.x has no supported lane count: scalar row kernels",
-    "tier forced to scalar but scalar row kernels need a row-major fold: generic path",
-    "multi-dimensional fold ineligible for the brick kernel \
-     (unsupported lane count or mismatched grid layouts): generic path",
-];
-
-/// Whether a planner reason (from [`plan_tier`] or
-/// [`SweepReport::tier_reason`]) records a degradation.
-#[must_use]
-pub fn tier_reason_degraded(reason: &str) -> bool {
-    DEGRADED_REASONS.contains(&reason)
 }
 
 /// Builder for one native sweep: spatial (`apply`) or temporally blocked
@@ -351,7 +422,7 @@ impl<'a> SweepRequest<'a> {
                 &disabled
             }
         };
-        let (run, tier, tier_reason) = execute_apply(
+        let (run, plan) = execute_apply(
             self.pool_ref(),
             stencil,
             inputs,
@@ -365,8 +436,8 @@ impl<'a> SweepRequest<'a> {
             mlups: run.mlups,
             updates: run.updates,
             threads_used: run.threads_used,
-            tier,
-            tier_reason,
+            tier: plan.tier(),
+            tier_reason: plan.reason,
             wavefront_depth: 1,
         })
     }
@@ -374,7 +445,8 @@ impl<'a> SweepRequest<'a> {
     /// Performs `wavefront` time steps of `stencil` on the ping-pong
     /// pair `(a, b)` in one skewed sweep; on return `a` holds the newest
     /// time level. `updates`/`mlups` in the report count all
-    /// `domain × depth` lattice updates the sweep performed.
+    /// `domain × depth` lattice updates the sweep performed. Depth one
+    /// is a spatial sweep and plans and runs as [`SweepRequest::apply`].
     ///
     /// # Errors
     /// Fails for multi-input stencils, binding problems, or invalid
@@ -395,7 +467,7 @@ impl<'a> SweepRequest<'a> {
         };
         let updates = (a.domain_points() * self.params.wavefront) as u64;
         let start = Instant::now();
-        let (widest, tier, tier_reason) = execute_wavefront(
+        let (widest, plan) = execute_wavefront(
             self.pool_ref(),
             stencil,
             a,
@@ -410,8 +482,8 @@ impl<'a> SweepRequest<'a> {
             mlups: updates as f64 / seconds.max(1e-12) / 1e6,
             updates,
             threads_used: widest,
-            tier,
-            tier_reason,
+            tier: plan.tier(),
+            tier_reason: plan.reason,
             wavefront_depth: self.params.wavefront,
         })
     }
@@ -435,7 +507,7 @@ pub struct SweepReport {
     pub tier: Tier,
     /// Why the planner picked [`SweepReport::tier`] — in particular,
     /// why a forced tier was degraded.
-    pub tier_reason: &'static str,
+    pub tier_reason: TierReason,
     /// Time steps fused in this sweep (`1` for spatial sweeps).
     pub wavefront_depth: usize,
 }
@@ -445,18 +517,7 @@ impl SweepReport {
     /// below what the fold or a forced policy asked for.
     #[must_use]
     pub fn degraded(&self) -> bool {
-        tier_reason_degraded(self.tier_reason)
-    }
-
-    /// The legacy [`NativeRun`] view of this report.
-    #[must_use]
-    pub fn native_run(&self) -> NativeRun {
-        NativeRun {
-            seconds: self.seconds,
-            mlups: self.mlups,
-            updates: self.updates,
-            threads_used: self.threads_used,
-        }
+        self.tier_reason.degraded()
     }
 }
 
@@ -476,20 +537,23 @@ mod tests {
         assert_eq!(TierPolicy::parse("folded8"), None);
     }
 
+    fn query(s: &Stencil, p: &TuningParams) -> Plan {
+        Plan::query(s, p, TierPolicy::Auto)
+    }
+
     #[test]
     fn planner_prefers_folded_for_supported_lane_counts() {
         let s = heat3d(1);
         for lanes in [2usize, 4, 8, 16] {
             let p = TuningParams::new([8, 8, 8], Fold::new(lanes, 1, 1));
-            let (tier, _) = plan_tier(&s, &p);
-            assert_eq!(tier, Tier::Folded, "lanes={lanes}");
+            assert_eq!(query(&s, &p).tier(), Tier::Folded, "lanes={lanes}");
         }
         // Unit fold and odd lane counts fall back to the scalar rows.
         for lanes in [1usize, 3, 5] {
             let p = TuningParams::new([8, 8, 8], Fold::new(lanes, 1, 1));
-            let (tier, reason) = plan_tier(&s, &p);
-            assert_eq!(tier, Tier::Scalar, "lanes={lanes}");
-            assert!(reason.contains("lane count"), "reason: {reason}");
+            let plan = query(&s, &p);
+            assert_eq!(plan.tier(), Tier::Scalar, "lanes={lanes}");
+            assert_eq!(plan.reason, TierReason::UnsupportedLanes, "lanes={lanes}");
         }
     }
 
@@ -498,43 +562,74 @@ mod tests {
         let s = box3d(1);
         for fold in [Fold::new(4, 2, 1), Fold::new(2, 2, 2), Fold::new(1, 2, 1)] {
             let p = TuningParams::new([8, 8, 8], fold);
-            let (tier, reason) = plan_tier(&s, &p);
-            assert_eq!(tier, Tier::Folded, "fold={fold}");
-            assert!(reason.contains("brick"), "reason: {reason}");
+            let plan = query(&s, &p);
+            assert_eq!(plan.tier(), Tier::Folded, "fold={fold}");
+            assert!(plan.reason.as_str().contains("brick"), "{:?}", plan.reason);
         }
         // 3x3x1 has 9 elements: no monomorphised brick kernel.
         let p = TuningParams::new([8, 8, 8], Fold::new(3, 3, 1));
-        assert_eq!(plan_tier(&s, &p).0, Tier::Generic);
+        assert_eq!(query(&s, &p).tier(), Tier::Generic);
     }
 
     #[test]
     fn planner_routes_tapes_by_layout_only() {
         let s = inverter_chain_rhs(5.0, 1.0, 2.0);
         let row = TuningParams::new([8, 1, 1], Fold::new(8, 1, 1));
-        assert_eq!(plan_tier(&s, &row).0, Tier::Tape);
+        assert_eq!(query(&s, &row).tier(), Tier::Tape);
         let folded = TuningParams::new([8, 1, 1], Fold::new(4, 2, 1));
-        assert_eq!(plan_tier(&s, &folded).0, Tier::Generic);
+        assert_eq!(query(&s, &folded).tier(), Tier::Generic);
     }
 
+    /// One row per [`TierReason`] variant: the plan of an input that
+    /// yields it, its tier, whether it is a degradation, and its text.
     #[test]
-    fn degraded_reasons_are_classified() {
-        let s = heat3d(1);
-        // Natural picks are not degradations.
-        let row = TuningParams::new([8, 8, 8], Fold::new(8, 1, 1));
-        let (_, reason) = plan_tier(&s, &row);
-        assert!(!tier_reason_degraded(reason), "{reason}");
-        // An unsupported lane count is.
-        let odd = TuningParams::new([8, 8, 8], Fold::new(3, 1, 1));
-        let (_, reason) = plan_tier(&s, &odd);
-        assert!(tier_reason_degraded(reason), "{reason}");
-        // Forcing scalar where it exists is a policy choice, not a
-        // degradation; forcing it where it cannot run is one.
-        let (_, reason) = plan_tier_with(&s, &row, TierPolicy::ForceScalar);
-        assert!(!tier_reason_degraded(reason), "{reason}");
-        let folded = TuningParams::new([8, 8, 8], Fold::new(4, 2, 1));
-        let (tier, reason) = plan_tier_with(&s, &folded, TierPolicy::ForceScalar);
-        assert_eq!(tier, Tier::Generic);
-        assert!(tier_reason_degraded(reason), "{reason}");
+    fn every_tier_reason_has_one_row() {
+        use TierPolicy::{Auto, ForceFolded, ForceScalar};
+        use TierReason as R;
+        let (heat, tape) = (heat3d(1), inverter_chain_rhs(5.0, 1.0, 2.0));
+        let (row, odd, unit) = (Fold::new(8, 1, 1), Fold::new(3, 1, 1), Fold::unit());
+        let (brick, nine) = (Fold::new(4, 2, 1), Fold::new(3, 3, 1));
+        let at = |s: &Stencil, fold: Fold, depth: usize, layouts: bool, policy: TierPolicy| {
+            let p = TuningParams::new([8, 8, 8], fold).wavefront(depth);
+            plan(&CompiledStencil::compile(s), &p, layouts, policy)
+        };
+        #[rustfmt::skip]
+        let rows = [
+            (R::LaneKernel, at(&heat, row, 1, true, Auto), Tier::Folded, false,
+             "row-major fold: folded lane kernel"),
+            (R::BrickKernel, at(&heat, brick, 1, true, Auto), Tier::Folded, false,
+             "multi-dimensional fold: folded brick kernel"),
+            (R::ForcedScalar, at(&heat, row, 1, true, ForceScalar), Tier::Scalar, false,
+             "tier forced to scalar"),
+            (R::TapeInterpreter, at(&tape, row, 1, true, Auto), Tier::Tape, false,
+             "non-linear stencil: threaded tape interpreter"),
+            (R::UnsupportedLanes, at(&heat, odd, 1, true, Auto), Tier::Scalar, true,
+             "fold.x has no supported lane count: scalar row kernels"),
+            (R::ForcedFoldedUnsupportedLanes, at(&heat, unit, 1, true, ForceFolded), Tier::Scalar,
+             true, "folded tier forced but fold.x has no supported lane count: scalar row kernels"),
+            (R::ForcedScalarNeedsRowMajor, at(&heat, brick, 1, true, ForceScalar), Tier::Generic,
+             true,
+             "tier forced to scalar but scalar row kernels need a row-major fold: generic path"),
+            (R::BrickIneligible, at(&heat, nine, 1, true, Auto), Tier::Generic, true,
+             "multi-dimensional fold ineligible for the brick kernel \
+              (unsupported lane count or mismatched grid layouts): generic path"),
+            (R::NonLinearFolded, at(&tape, brick, 1, true, Auto), Tier::Generic, true,
+             "non-linear stencil on a multi-dimensional fold: per-point generic path"),
+            (R::WavefrontNonLinear, at(&tape, row, 2, true, Auto), Tier::Generic, true,
+             "non-linear stencil: per-point generic wavefront"),
+            (R::WavefrontMismatchedLayouts, at(&heat, row, 2, false, Auto), Tier::Generic, true,
+             "ping-pong buffers have mismatched layouts: per-point generic wavefront"),
+            (R::WavefrontNeedsRowMajor, at(&heat, brick, 2, true, Auto), Tier::Generic, true,
+             "wavefront folded tier requires a row-major fold: per-point generic wavefront"),
+        ];
+        let mut seen = std::collections::HashSet::new();
+        for (reason, plan, tier, degraded, text) in rows {
+            assert_eq!(plan.reason, reason);
+            assert_eq!(plan.tier(), tier, "{reason:?}");
+            assert_eq!(plan.reason.degraded(), degraded, "{reason:?}");
+            assert_eq!(reason.as_str(), text);
+            assert!(seen.insert(reason), "{reason:?} listed twice");
+        }
     }
 
     #[test]
@@ -543,21 +638,21 @@ mod tests {
         let compiled = CompiledStencil::compile(&s);
         // Scalar forced on a row-major fold: honoured.
         let row = TuningParams::new([8, 8, 8], Fold::new(8, 1, 1));
-        let (plan, _) = plan_spatial(&compiled, true, &row, TierPolicy::ForceScalar);
-        assert_eq!(plan, Plan::Scalar);
+        let p = plan(&compiled, &row, true, TierPolicy::ForceScalar);
+        assert_eq!(p.kernel, Kernel::Scalar);
         // Scalar forced on a multi-dim fold: no scalar row kernel exists,
         // degrade to generic and say why.
         let folded = TuningParams::new([8, 8, 8], Fold::new(4, 2, 1));
-        let (plan, reason) = plan_spatial(&compiled, true, &folded, TierPolicy::ForceScalar);
-        assert_eq!(plan, Plan::Generic);
-        assert!(reason.contains("row-major"), "reason: {reason}");
+        let p = plan(&compiled, &folded, true, TierPolicy::ForceScalar);
+        assert_eq!(p.kernel, Kernel::Generic);
+        assert!(p.reason.as_str().contains("row-major"), "{:?}", p.reason);
         // Folded forced on a unit fold: no lanes to vectorise.
         let unit = TuningParams::new([8, 8, 8], Fold::unit());
-        let (plan, reason) = plan_spatial(&compiled, true, &unit, TierPolicy::ForceFolded);
-        assert_eq!(plan, Plan::Scalar);
-        assert!(reason.contains("lane count"), "reason: {reason}");
+        let p = plan(&compiled, &unit, true, TierPolicy::ForceFolded);
+        assert_eq!(p.kernel, Kernel::Scalar);
+        assert!(p.reason.as_str().contains("lane count"), "{:?}", p.reason);
         // Brick kernel needs shared grid geometry.
-        let (plan, _) = plan_spatial(&compiled, false, &folded, TierPolicy::Auto);
-        assert_eq!(plan, Plan::Generic);
+        let p = plan(&compiled, &folded, false, TierPolicy::Auto);
+        assert_eq!(p.kernel, Kernel::Generic);
     }
 }

@@ -23,12 +23,12 @@ use yasksite_stencil::Stencil;
 
 use crate::compile::CompiledStencil;
 use crate::error::EngineError;
-use crate::native::{Geom, LinearKernel, Sink};
+use crate::native::{execute_apply, Geom, LinearKernel, Sink};
 use crate::params::{chunk_ranges, TuningParams};
 use crate::pool::{ExecPool, ScopedJob};
 use crate::profile::SweepProfiler;
 use crate::simulate::{apply_simulated, touch_row, Groups, RowAccess, SimContext};
-use crate::sweep::{lane_count_supported, Tier, TierPolicy};
+use crate::sweep::{plan, Kernel, Plan, TierPolicy};
 
 fn wavefront_checks(
     stencil: &Stencil,
@@ -51,73 +51,19 @@ fn wavefront_checks(
     Ok((params.wavefront, shift))
 }
 
-/// Picks the kernel tier for the skewed plane updates. The wavefront
-/// fast path hands each pool job a contiguous window of plane rows, so
-/// it needs a linear stencil on identically laid-out **row-major**
-/// buffers; the folded lane kernel additionally needs a supported x-lane
-/// count. Multi-dimensional folds scatter rows across bricks and fall
-/// back to the per-point generic loop (the brick kernel sweeps whole
-/// grids, not single planes).
-fn plan_wavefront(
-    compiled: &CompiledStencil,
-    layouts_match: bool,
-    params: &TuningParams,
-    policy: TierPolicy,
-) -> (Option<usize>, Tier, &'static str) {
-    if !compiled.is_linear() {
-        return (
-            None,
-            Tier::Generic,
-            "non-linear stencil: per-point generic wavefront",
-        );
-    }
-    if !layouts_match {
-        return (
-            None,
-            Tier::Generic,
-            "ping-pong buffers have mismatched layouts: per-point generic wavefront",
-        );
-    }
-    if !params.row_major() {
-        return (
-            None,
-            Tier::Generic,
-            "wavefront folded tier requires a row-major fold: per-point generic wavefront",
-        );
-    }
-    match policy {
-        TierPolicy::ForceScalar => (Some(0), Tier::Scalar, "tier forced to scalar"),
-        _ if lane_count_supported(params.fold.x) => (
-            Some(params.fold.x),
-            Tier::Folded,
-            "row-major fold: folded lane kernel",
-        ),
-        TierPolicy::ForceFolded => (
-            Some(0),
-            Tier::Scalar,
-            "folded tier forced but fold.x has no supported lane count: scalar row kernels",
-        ),
-        TierPolicy::Auto => (
-            Some(0),
-            Tier::Scalar,
-            "fold.x has no supported lane count: scalar row kernels",
-        ),
-    }
-}
-
-/// The wavefront executor behind [`crate::SweepRequest::run_wavefront`]
-/// and the deprecated free functions. Performs `params.wavefront` time
-/// steps in one skewed sweep and returns
-/// `(widest chunk count, executed tier, reason)`.
+/// The wavefront executor behind [`crate::SweepRequest::run_wavefront`].
+/// Performs `params.wavefront` time steps in one skewed sweep and
+/// returns `(widest chunk count, plan)`. Depth one is a spatial sweep
+/// and runs through [`execute_apply`].
 ///
 /// Linear stencils on matching row-major layouts take the fast path:
 /// each plane update is tiled in x/y by `params.block` and its rows are
 /// split into `params.threads` chunks run on the pool — through the
 /// folded lane kernel when the fold's x-lane count is supported, the
 /// scalar row kernels otherwise. Everything else falls back to the
-/// per-point generic loop. Halo values of both buffers are left
-/// untouched (fixed-value boundary), matching how the plain steppers
-/// treat them.
+/// per-point generic loop (see [`plan`]). Halo values of both buffers
+/// are left untouched (fixed-value boundary), matching how the plain
+/// steppers treat them.
 pub(crate) fn execute_wavefront(
     pool: &ExecPool,
     stencil: &Stencil,
@@ -126,8 +72,13 @@ pub(crate) fn execute_wavefront(
     params: &TuningParams,
     prof: &SweepProfiler,
     policy: TierPolicy,
-) -> Result<(usize, Tier, &'static str), EngineError> {
+) -> Result<(usize, Plan), EngineError> {
     let (wf, shift) = wavefront_checks(stencil, a, b, params)?;
+    if wf == 1 {
+        let (run, plan) = execute_apply(pool, stencil, &[&*a], b, params, prof, policy)?;
+        a.swap_data(b).expect("ping-pong pair has identical layout");
+        return Ok((run.threads_used, plan));
+    }
     let t_compile = prof.start();
     let compiled = CompiledStencil::compile(stencil);
     prof.phase_done("compile", t_compile);
@@ -138,7 +89,12 @@ pub(crate) fn execute_wavefront(
         && b.fold() == params.fold
         && a.halo() == b.halo()
         && a.alloc() == b.alloc();
-    let (lanes, tier, reason) = plan_wavefront(&compiled, layouts_match, params, policy);
+    let plan = plan(&compiled, params, layouts_match, policy);
+    let lanes = match plan.kernel {
+        Kernel::Lanes(lanes) => Some(lanes),
+        Kernel::Scalar => Some(0),
+        Kernel::Brick(_) | Kernel::Tape | Kernel::Generic => None,
+    };
     let zmax = n[2] + (wf - 1) * shift;
     let mut widest = 1usize;
     prof.pool_window(pool.stats());
@@ -177,7 +133,7 @@ pub(crate) fn execute_wavefront(
     if wf % 2 == 1 {
         a.swap_data(b).expect("ping-pong pair has identical layout");
     }
-    Ok((widest, tier, reason))
+    Ok((widest, plan))
 }
 
 /// One skewed plane update `dst[·,·,z] = stencil(src)` through the
@@ -332,7 +288,7 @@ pub fn run_wavefront_simulated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::SweepRequest;
+    use crate::sweep::{SweepRequest, Tier};
     use yasksite_arch::Machine;
     use yasksite_grid::Fold;
     use yasksite_stencil::builders::{heat3d, wave2d};
@@ -480,11 +436,13 @@ mod tests {
         let s = wave2d(0.3);
         let mut a = Grid3::new("a", [8, 8, 1], [1, 1, 0], Fold::new(8, 1, 1));
         let mut b = a.clone();
-        let p = TuningParams::new([8, 8, 1], Fold::new(8, 1, 1)).wavefront(2);
-        assert!(matches!(
-            SweepRequest::new(&p).run_wavefront(&s, &mut a, &mut b),
-            Err(EngineError::Unsupported { .. })
-        ));
+        for depth in [1, 2] {
+            let p = TuningParams::new([8, 8, 1], Fold::new(8, 1, 1)).wavefront(depth);
+            assert!(matches!(
+                SweepRequest::new(&p).run_wavefront(&s, &mut a, &mut b),
+                Err(EngineError::Unsupported { .. })
+            ));
+        }
     }
 
     #[test]
@@ -511,7 +469,7 @@ mod tests {
             "generic fallback is single-threaded"
         );
         assert_eq!(report.tier, Tier::Generic);
-        assert!(report.tier_reason.contains("mismatched layouts"));
+        assert!(report.tier_reason.as_str().contains("mismatched layouts"));
         assert!(a.max_abs_diff(&want).unwrap() < 1e-12);
     }
 

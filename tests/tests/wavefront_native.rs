@@ -93,7 +93,7 @@ fn wavefront_matrix_bitwise_matches_plain_stepper() {
                             if policy == TierPolicy::ForceScalar {
                                 assert_eq!(report.tier, Tier::Scalar, "fold {fold}");
                             }
-                            assert!(!report.tier_reason.is_empty());
+                            assert!(!report.tier_reason.as_str().is_empty());
                         }
                     }
                 }
